@@ -28,7 +28,10 @@ int main(int argc, char** argv) {
   auto index = OpenOrBuildIndex(env, /*num_levels=*/4);
   auto world = MakeWorld(env);
   size_t slots = static_cast<size_t>(env.config.GetInt("cache_slots", 256));
-  const uint64_t budget = CacheOptions::BytesForCubes(slots, env.schema);
+  // About `slots` cubes of this index's mean encoded size: with dense
+  // sizes the budget would hold most of the index, and the policies would
+  // differ only in what they leave out of a cache that barely misses.
+  const uint64_t budget = BudgetForEncodedCubes(*index, slots);
 
   struct Policy {
     const char* name;

@@ -84,12 +84,12 @@ int main(int argc, char** argv) {
   // Static recency cache: warmed once, never admits or evicts at query
   // time, so cache hits — and therefore per-query I/O — are a pure
   // function of the query. That is what makes the determinism check
-  // below meaningful under concurrency.
+  // below meaningful under concurrency. Its budget is a fixed share of
+  // the index's encoded bytes, so most of the workload reads from the
+  // device however well the cubes compress.
   CacheOptions cache_options;
-  const size_t cache_cubes =
-      static_cast<size_t>(env.config.GetInt("cache_slots", 128));
-  cache_options.byte_budget =
-      CacheOptions::BytesForCubes(cache_cubes, env.schema);
+  const double cache_fraction = env.config.GetDouble("cache_fraction", 0.05);
+  cache_options.byte_budget = BudgetFraction(*index, cache_fraction);
   cache_options.policy = CachePolicy::kRasedRecency;
   CubeCache cache(cache_options);
   Status warm = cache.Warm(index.get());
@@ -123,13 +123,13 @@ int main(int argc, char** argv) {
     serialized_micros += result.value().stats.io.simulated_device_micros;
   }
   RASED_CHECK(serialized_micros > 0)
-      << "workload is fully cache-resident; shrink cache_slots";
+      << "workload is fully cache-resident; shrink cache_fraction";
 
   PrintHeader(
       "Concurrent queries: dashboard worker-pool scaling",
-      StrFormat("%d single-cell queries, %d-day windows, %zu-cube-budget "
-                "warm cache, device model %lld us/page;",
-                total_queries, span_days, cache_cubes,
+      StrFormat("%d single-cell queries, %d-day windows, warm cache of "
+                "%.0f%% of the encoded index, device model %lld us/page;",
+                total_queries, span_days, 100 * cache_fraction,
                 static_cast<long long>(env.device.read_latency_us)) +
           " makespan = slowest worker's summed device micros");
   PrintRow({"threads", "makespan", "speedup", "queries/s", "wall"});

@@ -150,16 +150,11 @@ int main(int argc, char** argv) {
   CacheOptions cache_options;
   const size_t cache_cubes =
       static_cast<size_t>(env.config.GetInt("cache_slots", 128));
-  // Budget for ~cache_cubes cubes of this index's *actual* average encoded
+  // Budget for ~cache_cubes cubes of this index's *actual* mean encoded
   // size, not the dense worst case — keeps the workload partially resident
   // (the makespan baseline below requires real device I/O) no matter how
   // well the adaptive encodings compress.
-  const IndexStorageStats storage = index->StorageStats();
-  const uint64_t avg_encoded =
-      storage.total_cubes > 0
-          ? std::max<uint64_t>(1, storage.encoded_bytes / storage.total_cubes)
-          : env.schema.cube_bytes();
-  cache_options.byte_budget = cache_cubes * avg_encoded;
+  cache_options.byte_budget = BudgetForEncodedCubes(*index, cache_cubes);
   cache_options.policy = CachePolicy::kRasedRecency;
   CubeCache cache(cache_options);
   Status warm = cache.Warm(index.get());

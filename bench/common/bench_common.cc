@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -78,6 +79,20 @@ std::unique_ptr<TemporalIndex> OpenOrBuildIndex(const BenchEnv& env,
                watch.ElapsedSeconds(),
                index.value()->StorageStats().total_cubes);
   return std::move(index).value();
+}
+
+uint64_t BudgetFraction(const TemporalIndex& index, double fraction) {
+  return static_cast<uint64_t>(
+      fraction * static_cast<double>(index.StorageStats().encoded_bytes));
+}
+
+uint64_t BudgetForEncodedCubes(const TemporalIndex& index, size_t cubes) {
+  const IndexStorageStats storage = index.StorageStats();
+  const uint64_t mean_encoded =
+      storage.total_cubes > 0
+          ? std::max<uint64_t>(1, storage.encoded_bytes / storage.total_cubes)
+          : index.options().schema.cube_bytes();
+  return cubes * mean_encoded;
 }
 
 std::unique_ptr<BaselineDbms> OpenOrBuildDbms(const BenchEnv& env,

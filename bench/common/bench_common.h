@@ -60,6 +60,15 @@ struct BenchEnv {
 std::unique_ptr<TemporalIndex> OpenOrBuildIndex(const BenchEnv& env,
                                                 int num_levels);
 
+/// Cache byte budgets sized from what `index` actually stores, for
+/// benches whose point is that the working set does *not* fully fit:
+/// CacheOptions::BytesForCubes assumes dense cubes, and adaptive encodings
+/// shrink cubes enough that such a budget can hold the whole index.
+/// `fraction` of the index's total encoded bytes:
+uint64_t BudgetFraction(const TemporalIndex& index, double fraction);
+/// Room for about `cubes` cubes of the index's mean encoded size:
+uint64_t BudgetForEncodedCubes(const TemporalIndex& index, size_t cubes);
+
 /// Opens (building on first use) the baseline DBMS heap loaded with the
 /// record-path synthetic stream for the same period.
 std::unique_ptr<BaselineDbms> OpenOrBuildDbms(const BenchEnv& env,

@@ -202,6 +202,18 @@ bool CubeCache::Contains(const CubeKey& key, PageId page) const {
   return it != entries_.end() && it->second.page == page;
 }
 
+size_t CubeCache::CountContained(std::span<const CubeKey> keys,
+                                 std::span<const PageId> pages) const {
+  RASED_DCHECK(keys.size() == pages.size());
+  size_t n = 0;
+  MutexLock lock(&mu_);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto it = entries_.find(keys[i]);
+    if (it != entries_.end() && it->second.page == pages[i]) ++n;
+  }
+  return n;
+}
+
 void CubeCache::AdmitLru(const CubeKey& key, PageId page, uint64_t bytes,
                          std::shared_ptr<const DataCube> cube) {
   if (bytes > options_.byte_budget) return;  // can never fit

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "cube/cube_codec.h"
@@ -149,8 +150,14 @@ class CubeCache {
 
   bool Contains(const CubeKey& key) const RASED_EXCLUDES(mu_);
 
-  /// Page-validated membership test (the optimizer's IsCached probe).
+  /// Page-validated membership test (the optimizer's probe of one cube).
   bool Contains(const CubeKey& key, PageId page) const RASED_EXCLUDES(mu_);
+
+  /// How many of `keys[i]` are cached from `pages[i]`, probed under one
+  /// lock acquisition (the optimizer's probe of a run of daily cubes).
+  size_t CountContained(std::span<const CubeKey> keys,
+                        std::span<const PageId> pages) const
+      RASED_EXCLUDES(mu_);
 
   /// Drops every cached cube whose window overlaps `range`. Called when
   /// the monthly rebuild rewrites a month's cubes (and its month/year

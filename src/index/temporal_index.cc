@@ -74,12 +74,24 @@ std::optional<uint64_t> CatalogSnapshot::EncodedBytesOf(
 std::vector<CubeKey> CatalogSnapshot::ExistingKeys(
     Level level, const DateRange& range) const {
   std::vector<CubeKey> keys;
-  if (version_ == nullptr) return keys;
-  const auto& map = LevelMapOf(*version_, level);
-  for (const CubeKey& key : KeysCoveredBy(level, range)) {
-    if (map.find(key.start) != map.end()) keys.push_back(key);
-  }
+  std::vector<PageId> pages;
+  ExistingPages(level, range, &keys, &pages);
   return keys;
+}
+
+void CatalogSnapshot::ExistingPages(Level level, const DateRange& range,
+                                    std::vector<CubeKey>* keys,
+                                    std::vector<PageId>* pages) const {
+  if (version_ == nullptr || range.empty()) return;
+  const auto& map = LevelMapOf(*version_, level);
+  for (auto it = map.lower_bound(range.first);
+       it != map.end() && it->first <= range.last; ++it) {
+    const CubeKey key{level, it->first};
+    // Windows of one level are disjoint, so their ends ascend too.
+    if (key.range().last > range.last) break;
+    keys->push_back(key);
+    pages->push_back(it->second.first_page);
+  }
 }
 
 std::vector<CubeKey> CatalogSnapshot::LatestKeys(Level level, size_t n) const {

@@ -137,6 +137,14 @@ class CatalogSnapshot {
   /// Keys of `level` fully inside `range` that exist in this version.
   std::vector<CubeKey> ExistingKeys(Level level, const DateRange& range) const;
 
+  /// Appends the same keys as ExistingKeys to `keys` and the first page of
+  /// each (its cache validation token) to `pages`, in chronological order,
+  /// from one ordered walk of the level's map instead of a lookup per
+  /// candidate key.
+  void ExistingPages(Level level, const DateRange& range,
+                     std::vector<CubeKey>* keys,
+                     std::vector<PageId>* pages) const;
+
   /// The most recent `n` keys of a level (newest last), for cache warmup.
   std::vector<CubeKey> LatestKeys(Level level, size_t n) const;
 

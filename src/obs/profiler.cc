@@ -385,6 +385,8 @@ Status Profiler::Start(const ProfilerOptions& options) {
       metrics_.threads = registry->GetGauge(
           "rased_profiler_threads_registered",
           "Threads currently registered for sampling");
+      // Threads registered while stopped were not counted.
+      metrics_.threads->Set(static_cast<int64_t>(entries_.size()));
     }
 
     ring_ = std::make_unique<ProfileWindowRing>(options_.window_byte_budget);
@@ -424,8 +426,16 @@ void Profiler::Stop() {
   }
   if (reaper.joinable()) reaper.join();
   MutexLock lock(&mu_);
-  // The reaper's final drain already ran; anything still waiting gets
-  // what was collected so far.
+  // The reaper's final drain already ran, so nothing writes the metric
+  // handles until the next Start. Drop them: their registry belongs to the
+  // caller and may be destroyed before that Start, while thread
+  // registrations in between would still update them. A Start that raced
+  // in during the join owns fresh handles; keep those.
+  if (active_refs_ == 0) {
+    metrics_ = ProfilerMetrics{};
+    options_.metrics = nullptr;
+  }
+  // Anything still waiting gets what was collected so far.
   for (Collector* collector : collectors_) {
     collector->dropped = dropped_total_ - collector->dropped_at_start;
     collector->done = true;

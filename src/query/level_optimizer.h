@@ -1,7 +1,6 @@
 #ifndef RASED_QUERY_LEVEL_OPTIMIZER_H_
 #define RASED_QUERY_LEVEL_OPTIMIZER_H_
 
-#include <optional>
 #include <vector>
 
 #include "cache/cube_cache.h"
@@ -28,16 +27,36 @@ struct QueryPlan {
 /// Plans are computed against a pinned CatalogSnapshot, so a plan never
 /// mixes cube availability from two different published versions; cache
 /// probes are page-validated against the same snapshot.
+///
+/// The search is a nested cover over the time hierarchy. Weeks nest in
+/// months and months in years (days 29-31 are daily-only stragglers), so
+/// no cube crosses a month boundary and the optimal cover of a window is
+/// the sum of independent optimal covers of the hierarchy nodes it
+/// touches. A node fully inside the window is worth min(its own cube, the
+/// cover by its children); on a tie the children win. A node the window
+/// only overlaps is covered by its children. Days without a daily cube
+/// cost nothing to cover.
+///
+/// Two exact prunes let a node take its own cube without visiting its
+/// children, whenever the cube exists and the node's first and last days
+/// both have daily cubes (so any cover by children takes at least two
+/// cubes):
+///  * the cube is cached: it costs (0 disk, 1 cube) against at least
+///    (0, 2) for the children;
+///  * the cube is not cached and some child has no disk-free cover: the
+///    children then cost at least (1, 2) against (1, 1). That check stops
+///    at the first child that needs the disk.
+/// The work therefore grows with the hierarchy nodes visited, not with the
+/// days in the window: a warm 16-year window visits 16 yearly nodes.
 class LevelOptimizer {
  public:
   /// `cache` may be null (no caching, the RASED-O variant of Figure 9).
   LevelOptimizer(const TemporalIndex* index, const CubeCache* cache)
       : index_(index), cache_(cache) {}
 
-  /// Exact minimum-cost cover via dynamic programming over the window's
-  /// days, resolved against `snapshot`. Cost is lexicographic (disk
-  /// fetches, total cubes): plans with fewer disk reads win; among those,
-  /// fewer cubes overall.
+  /// Exact minimum-cost cover, resolved against `snapshot`. Cost is
+  /// lexicographic (disk fetches, total cubes): plans with fewer disk
+  /// reads win; among those, fewer cubes overall.
   QueryPlan Plan(const CatalogSnapshot& snapshot,
                  const DateRange& range) const;
 
@@ -57,12 +76,6 @@ class LevelOptimizer {
   }
 
  private:
-  bool IsCached(const CatalogSnapshot& snapshot, const CubeKey& key) const {
-    if (cache_ == nullptr) return false;
-    std::optional<PageId> page = snapshot.PageOf(key);
-    return page.has_value() && cache_->Contains(key, *page);
-  }
-
   const TemporalIndex* index_;
   const CubeCache* cache_;
 };

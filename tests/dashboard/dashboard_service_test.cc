@@ -234,5 +234,45 @@ TEST_F(DashboardServiceTest, ParseQueryParamsDirectly) {
   EXPECT_EQ(query.value().range.num_days(), 16);
 }
 
+TEST(DashboardServiceRestartTest, ReopenWarmServeStopFiveTimesInOneProcess) {
+  // Each round's Rased owns the metrics registry its service's profiler
+  // publishes into, and is destroyed at the end of the round. The next
+  // round's HTTP workers register with the (stopped) profiler before its
+  // Start takes fresh handles, so a stopped profiler must hold none.
+  TempDir dir("dashboard-restart");
+  const std::string path = env::JoinPath(dir.path(), "rased");
+  ASSERT_NE(testing_helpers::MakePopulatedRased(path), nullptr);
+
+  testing::internal::CaptureStderr();
+  for (int round = 0; round < 5; ++round) {
+    RasedOptions options;
+    options.dir = path;
+    options.schema = CubeSchema::BenchScale();
+    options.device = DeviceModel{100, 100, 0.0};
+    auto rased = Rased::Open(options);
+    if (!rased.ok()) {
+      ADD_FAILURE() << "round " << round << ": " << rased.status().ToString();
+      break;
+    }
+    Status warm = rased.value()->WarmCache();
+    EXPECT_TRUE(warm.ok()) << "round " << round << ": " << warm.ToString();
+    DashboardService service(rased.value().get());
+    Status started = service.Start(0, 2);
+    EXPECT_TRUE(started.ok()) << "round " << round << ": "
+                              << started.ToString();
+    if (started.ok()) {
+      std::string response =
+          Fetch(service.port(),
+                "/api/query?from=2021-01-01&to=2021-02-28&group=country");
+      EXPECT_NE(response.find("200 OK"), std::string::npos)
+          << "round " << round;
+    }
+    service.Stop();
+  }
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("cache preload"), std::string::npos) << log;
+  EXPECT_EQ(log.find(" ERROR "), std::string::npos) << log;
+}
+
 }  // namespace
 }  // namespace rased

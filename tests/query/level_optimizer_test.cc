@@ -1,6 +1,8 @@
 #include "query/level_optimizer.h"
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +179,282 @@ TEST_F(LevelOptimizerTest, CachedCoarseCubeBeatsUncachedFine) {
   QueryPlan plan = optimizer.Plan(feb);
   ASSERT_EQ(plan.cubes.size(), 1u);
   EXPECT_EQ(plan.expected_cached, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the nested cover against the day-by-day DP.
+// ---------------------------------------------------------------------------
+
+/// The planner the nested cover replaced, kept as the oracle: a dynamic
+/// program over every day of the window. cost[i] covers the first i days;
+/// at each day it considers the daily cube (or a free skip when the day
+/// has none), then any weekly, monthly or yearly cube ending there, and
+/// replaces the best only on a strictly lower (disk, cubes) cost.
+QueryPlan DayByDayPlan(const CatalogSnapshot& snapshot, const CubeCache* cache,
+                       const DateRange& range) {
+  using Cost = std::pair<uint32_t, uint32_t>;
+  constexpr Cost kInfinity{UINT32_MAX, UINT32_MAX};
+  auto is_cached = [&](const CubeKey& key) {
+    std::optional<PageId> page = snapshot.PageOf(key);
+    return cache != nullptr && page.has_value() &&
+           cache->Contains(key, *page);
+  };
+  QueryPlan plan;
+  if (range.empty()) return plan;
+  const int n = range.num_days();
+  struct Choice {
+    CubeKey key;
+    int from = 0;
+    bool skip = false;
+  };
+  std::vector<Cost> cost(static_cast<size_t>(n) + 1, kInfinity);
+  std::vector<Choice> choice(static_cast<size_t>(n) + 1);
+  cost[0] = {0, 0};
+  for (int i = 1; i <= n; ++i) {
+    Date day = range.first.AddDays(i - 1);
+    auto consider = [&](const CubeKey& key, int from, bool skip) {
+      if (cost[from] == kInfinity) return;
+      Cost c = cost[from];
+      if (!skip) {
+        c.first += is_cached(key) ? 0 : 1;
+        c.second += 1;
+      }
+      if (c < cost[i]) {
+        cost[i] = c;
+        choice[i] = Choice{key, from, skip};
+      }
+    };
+    CubeKey daily = CubeKey::Daily(day);
+    consider(daily, i - 1, /*skip=*/!snapshot.Contains(daily));
+    if (day.is_week_end() && i >= 7) {
+      CubeKey weekly = CubeKey::Weekly(day);
+      if (snapshot.Contains(weekly)) consider(weekly, i - 7, false);
+    }
+    if (day.is_month_end() && i >= day.days_in_month()) {
+      CubeKey monthly = CubeKey::Monthly(day);
+      if (snapshot.Contains(monthly)) {
+        consider(monthly, i - day.days_in_month(), false);
+      }
+    }
+    if (day.is_year_end()) {
+      int diy = (day - day.year_start()) + 1;
+      CubeKey yearly = CubeKey::Yearly(day);
+      if (i >= diy && snapshot.Contains(yearly)) {
+        consider(yearly, i - diy, false);
+      }
+    }
+  }
+  std::vector<CubeKey> reversed;
+  for (int i = n; i > 0; i = choice[i].from) {
+    if (!choice[i].skip) reversed.push_back(choice[i].key);
+  }
+  plan.cubes.assign(reversed.rbegin(), reversed.rend());
+  for (const CubeKey& key : plan.cubes) {
+    if (is_cached(key)) ++plan.expected_cached;
+  }
+  return plan;
+}
+
+/// The flat plan day by day: every existing daily cube of the window.
+QueryPlan DayByDayFlatPlan(const CatalogSnapshot& snapshot,
+                           const CubeCache* cache, const DateRange& range) {
+  QueryPlan plan;
+  for (Date d = range.first; d <= range.last; d = d.next()) {
+    const CubeKey key = CubeKey::Daily(d);
+    std::optional<PageId> page = snapshot.PageOf(key);
+    if (!page.has_value()) continue;
+    plan.cubes.push_back(key);
+    if (cache != nullptr && cache->Contains(key, *page)) {
+      ++plan.expected_cached;
+    }
+  }
+  return plan;
+}
+
+std::string Describe(const QueryPlan& plan) {
+  std::string out = std::to_string(plan.expected_cached) + " cached of";
+  for (const CubeKey& key : plan.cubes) out += " " + key.ToString();
+  return out;
+}
+
+/// Random windows around `coverage`: partial weeks, months and years,
+/// log-uniform lengths from one day to past both ends of coverage, plus
+/// every whole year, each leap February and the coverage itself.
+std::vector<DateRange> WindowsAround(const DateRange& coverage, Rng* rng,
+                                    int count) {
+  const Date lo = coverage.first.AddDays(-120);
+  const int span = coverage.num_days() + 240;
+  std::vector<DateRange> windows;
+  for (int i = 0; i < count; ++i) {
+    int start = static_cast<int>(rng->Uniform(static_cast<uint64_t>(span)));
+    int len = static_cast<int>(
+        std::exp(rng->NextDouble() * std::log(static_cast<double>(span))));
+    windows.emplace_back(lo.AddDays(start), lo.AddDays(start + len - 1));
+  }
+  for (Date y = lo.year_start(); y <= lo.AddDays(span); y = y.AddYears(1)) {
+    windows.emplace_back(y, y.year_end());
+    Date feb = Date::FromYmd(y.year(), 2, 1);
+    if (feb.days_in_month() == 29) windows.emplace_back(feb, feb.month_end());
+  }
+  windows.push_back(coverage);
+  windows.emplace_back(lo, lo.AddDays(span - 1));
+  return windows;
+}
+
+/// Number of windows whose optimized or flat plan differs from its
+/// oracle's; the first difference goes to `first_diff`.
+int CountDifferences(const CatalogSnapshot& snapshot, const CubeCache* cache,
+                     const std::vector<DateRange>& windows,
+                     std::string* first_diff) {
+  LevelOptimizer optimizer(nullptr, cache);
+  int differences = 0;
+  auto compare = [&](const char* name, const DateRange& window,
+                     const QueryPlan& got, const QueryPlan& want) {
+    if (got.cubes == want.cubes &&
+        got.expected_cached == want.expected_cached) {
+      return;
+    }
+    if (differences++ == 0) {
+      *first_diff = std::string(name) + " " + window.ToString() +
+                    "\n  got:    " + Describe(got) +
+                    "\n  oracle: " + Describe(want);
+    }
+  };
+  for (const DateRange& window : windows) {
+    compare("plan", window, optimizer.Plan(snapshot, window),
+            DayByDayPlan(snapshot, cache, window));
+    compare("flat plan", window, optimizer.PlanFlat(snapshot, window),
+            DayByDayFlatPlan(snapshot, cache, window));
+  }
+  return differences;
+}
+
+/// LRU cache holding a random `fraction` of the snapshot's cubes, each
+/// under its own page, plus some under a page the snapshot does not
+/// resolve them to (stale entries page validation must reject).
+std::unique_ptr<CubeCache> RandomSubsetCache(const CatalogSnapshot& snapshot,
+                                             const DateRange& coverage,
+                                             double fraction, Rng* rng) {
+  CacheOptions options;
+  options.policy = CachePolicy::kLru;
+  auto cache = std::make_unique<CubeCache>(options);
+  DateRange all(coverage.first.year_start(), coverage.last.year_end());
+  for (int level = 0; level < kNumLevels; ++level) {
+    for (const CubeKey& key :
+         snapshot.ExistingKeys(static_cast<Level>(level), all)) {
+      double draw = rng->NextDouble();
+      if (draw >= fraction && draw < 0.98) continue;
+      PageId page = *snapshot.PageOf(key);
+      if (draw >= fraction) page += 1000000;  // stale
+      cache->Insert(key, page, /*encoded_bytes=*/16, DataCube(TinySchema()));
+    }
+  }
+  return cache;
+}
+
+TEST(LevelOptimizerDifferentialTest, MatchesDayByDayPlanOnRealIndexes) {
+  TempDir dir("optimizer-diff");
+  // Partial years at both ends and the 2020 leap year in between.
+  const DateRange coverage(Date::FromYmd(2018, 11, 17),
+                           Date::FromYmd(2021, 3, 9));
+  Rng rng(20220101);
+  for (int num_levels = 1; num_levels <= 4; ++num_levels) {
+    TemporalIndexOptions options;
+    options.schema = TinySchema();
+    options.num_levels = num_levels;
+    options.dir =
+        env::JoinPath(dir.path(), "index" + std::to_string(num_levels));
+    options.device = DeviceModel::None();
+    auto created = TemporalIndex::Create(options);
+    ASSERT_TRUE(created.ok());
+    std::unique_ptr<TemporalIndex> index = std::move(created).value();
+    for (Date d = coverage.first; d <= coverage.last; d = d.next()) {
+      DataCube cube(TinySchema());
+      cube.Add(0, 0, 0, 0, 1);
+      ASSERT_TRUE(index->AppendDay(d, cube).ok());
+    }
+    CatalogSnapshot snapshot = index->Snapshot();
+    const std::vector<DateRange> windows = WindowsAround(coverage, &rng, 250);
+
+    CacheOptions recency;
+    recency.byte_budget = snapshot.StorageStats().encoded_bytes / 20;
+    CubeCache partial(recency);
+    ASSERT_TRUE(partial.Warm(index.get()).ok());
+    ASSERT_GT(partial.size(), 0u);
+
+    CacheOptions daily_only;
+    daily_only.byte_budget = snapshot.StorageStats().encoded_bytes / 5;
+    daily_only.policy = CachePolicy::kAllDaily;
+    CubeCache all_daily(daily_only);
+    ASSERT_TRUE(all_daily.Warm(index.get()).ok());
+
+    CubeCache warm{CacheOptions{}};
+    ASSERT_TRUE(warm.Warm(index.get()).ok());
+    ASSERT_EQ(warm.size(), snapshot.StorageStats().total_cubes);
+
+    std::unique_ptr<CubeCache> lru =
+        RandomSubsetCache(snapshot, coverage, 0.3, &rng);
+
+    const std::pair<const char*, const CubeCache*> states[] = {
+        {"no cache", nullptr},
+        {"5% recency", &partial},
+        {"20% all-daily recency", &all_daily},
+        {"fully warm", &warm},
+        {"LRU random subset", lru.get()}};
+    for (const auto& [name, cache] : states) {
+      std::string first_diff;
+      EXPECT_EQ(CountDifferences(snapshot, cache, windows, &first_diff), 0)
+          << num_levels << " levels, " << name << ": " << first_diff;
+    }
+  }
+}
+
+TEST(LevelOptimizerDifferentialTest, MatchesDayByDayPlanOnCatalogsWithGaps) {
+  // Catalog versions built directly, so dailies and rollups can be missing
+  // in combinations the append path never produces.
+  const DateRange coverage(Date::FromYmd(2019, 8, 3),
+                           Date::FromYmd(2021, 5, 26));
+  Rng rng(7);
+  for (int num_levels = 1; num_levels <= 4; ++num_levels) {
+    for (double drop : {0.02, 0.15, 0.5}) {
+      auto version = std::make_shared<CatalogVersion>();
+      version->epoch = 1;
+      version->first_day = coverage.first;
+      version->last_day = coverage.last;
+      PageId next_page = 0;
+      const DateRange all(coverage.first.year_start(),
+                          coverage.last.year_end());
+      for (int level = 0; level < num_levels; ++level) {
+        auto map = std::make_shared<CatalogVersion::LevelMap>();
+        for (const CubeKey& key :
+             KeysCoveredBy(static_cast<Level>(level), all)) {
+          if (!key.range().Overlaps(coverage) || rng.NextDouble() < drop) {
+            continue;
+          }
+          CubeLoc loc;
+          loc.first_page = next_page++;
+          (*map)[key.start] = loc;
+        }
+        version->levels[level] = std::move(map);
+      }
+      CatalogSnapshot snapshot(version);
+      const std::vector<DateRange> windows =
+          WindowsAround(coverage, &rng, 150);
+      for (double fraction : {0.0, 0.4, 0.9, 1.0}) {
+        std::unique_ptr<CubeCache> cache =
+            RandomSubsetCache(snapshot, coverage, fraction, &rng);
+        std::string first_diff;
+        EXPECT_EQ(CountDifferences(snapshot, cache.get(), windows, &first_diff),
+                  0)
+            << num_levels << " levels, drop " << drop << ", cached "
+            << fraction << ": " << first_diff;
+      }
+      std::string first_diff;
+      EXPECT_EQ(CountDifferences(snapshot, nullptr, windows, &first_diff), 0)
+          << num_levels << " levels, drop " << drop << ", no cache: "
+          << first_diff;
+    }
+  }
 }
 
 }  // namespace
